@@ -78,7 +78,7 @@ from repro.analysis.taint_rules import (
 )
 
 #: Bump to invalidate every cached module summary (rule or format change).
-ANALYZER_VERSION = 1
+ANALYZER_VERSION = 2
 
 #: Caps keeping pathological files from blowing up the edge lists.
 _MAX_ATOMS_PER_NAME = 6

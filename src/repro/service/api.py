@@ -458,6 +458,9 @@ class ServiceApp:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-service"
     protocol_version = "HTTP/1.1"
+    # Headers and body leave as two writes; with Nagle on, a kept-alive
+    # connection holds the body back until the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     @property
     def app(self) -> ServiceApp:

@@ -7,10 +7,11 @@ syscall) holds its jobs in ``running`` forever, and a ``kill -9`` of
 the whole service orphans every in-flight job until someone notices.
 This module closes that gap with one mechanism — the **lease**:
 
-* Every job entering execution is granted a persisted lease: an
-  fsynced JSONL record (``service/leases.jsonl``) naming the job key,
-  its run id, the holding batch, and the attempt number, plus an
-  in-memory heartbeat deadline.
+* Every job entering execution is granted a persisted lease: a
+  ``grant`` record in the service log (``service/log.jsonl``, a
+  :class:`~repro.common.journal.Journal`) naming the job key, its run
+  id, the holding batch, and the attempt number, plus an in-memory
+  heartbeat deadline.
 * Progress is the heartbeat.  The :class:`Supervisor` thread watches
   the content-addressed store: a lease whose result has landed is
   released; any landing renews every sibling lease (a batch that is
@@ -40,19 +41,18 @@ nondeterministic is persisted.
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 import threading
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Iterable
+
+from repro.common.journal import Journal
 
 log = logging.getLogger("repro.service.supervision")
 
-#: Lease document schema version.
-LEASE_SCHEMA = 1
+#: The record events a lease log writes.
+LEASE_EVENTS = ("grant", "release", "reclaim")
 
 #: Default heartbeat budget: a batch must complete *some* job (or be
 #: explicitly renewed) this often or it is considered wedged.
@@ -136,47 +136,29 @@ class SupervisionStats:
 
 
 class LeaseLog:
-    """Append-only, crash-safe JSONL record of job leases.
+    """The lease records of a crash-safe :class:`Journal`.
 
-    Mirrors the batch journal's discipline: one object per line, every
-    line flushed and fsynced before the write returns, torn final
-    lines tolerated on load.  ``resume=True`` replays an existing log
-    and resolves every orphaned grant (a grant the killed process
-    never released): if ``has_result`` says the job's result landed,
-    the orphan gets the ``release/done`` record the crash swallowed —
-    the store entry is proof the job completed, and without the
-    compensating record the exactly-once proof (:meth:`completions`)
-    would undercount a job that did run.  Orphans with no result are
-    reclaimed with ``reason="orphaned"`` so the scheduler re-runs
-    them.  Without ``resume`` the log is truncated for a fresh
-    deployment.
+    The scheduler hands in its one service log.  If the journal was
+    resumed, every orphaned grant it replayed (a grant the killed
+    process never released) is resolved: if ``has_result`` says the
+    job's result landed, the orphan gets the ``release/done`` record
+    the crash swallowed — the store entry is proof the job completed,
+    and without the compensating record the exactly-once proof
+    (:meth:`completions`) would undercount a job that did run.
+    Orphans with no result are reclaimed with ``reason="orphaned"`` so
+    the scheduler re-runs them.
     """
 
     def __init__(
         self,
-        path: str | os.PathLike,
-        resume: bool = False,
+        journal: Journal,
         stats: SupervisionStats | None = None,
         has_result: Callable[[str], bool] | None = None,
     ) -> None:
-        self.path = Path(path).expanduser()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.journal = journal
         self.stats = stats if stats is not None else SupervisionStats()
         self._active: dict[str, Lease] = {}
-        orphans: list[dict] = []
-        mode = "a" if resume and self.path.exists() else "w"
-        if mode == "a":
-            orphans = self._replay()
-        self._handle = open(self.path, mode)
-        if mode == "w":
-            self._append({"event": "lease-log-start", "schema": LEASE_SCHEMA})
-        else:
-            # A kill -9 can leave the final line unterminated; appending
-            # straight onto it would corrupt the next record too.
-            tail = self.path.read_bytes()[-1:]
-            if tail not in (b"", b"\n"):
-                self._handle.write("\n")
-                self._handle.flush()
+        orphans = self._orphans(self.journal.replayed)
         completed = 0
         for grant in orphans:
             key = grant["key"]
@@ -190,13 +172,13 @@ class LeaseLog:
                 # a supervisor tick could release the lease (the store
                 # write and the release are separate fsyncs, so a
                 # kill -9 can land between them).
-                self._append(
+                self.journal.append(
                     {"event": "release", "outcome": "done", **record}
                 )
                 self.stats.released += 1
                 completed += 1
             else:
-                self._append(
+                self.journal.append(
                     {"event": "reclaim", "reason": "orphaned", **record}
                 )
                 self.stats.reclaimed += 1
@@ -209,38 +191,18 @@ class LeaseLog:
                 completed,
             )
 
-    # ------------------------------------------------------------------
-    # persistence
-
-    def _replay(self) -> list[dict]:
-        """Load the log; returns grant records never released/reclaimed."""
+    @staticmethod
+    def _orphans(records: list[dict]) -> list[dict]:
+        """Grant records never released or reclaimed, by key."""
         open_grants: dict[str, dict] = {}
-        with open(self.path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    # Torn final line from the interrupted run.
-                    continue
-                event = record.get("event")
-                key = record.get("key")
-                if event == "grant" and isinstance(key, str):
-                    open_grants[key] = record
-                elif event in ("release", "reclaim") and isinstance(key, str):
-                    open_grants.pop(key, None)
+        for record in records:
+            event = record.get("event")
+            key = record.get("key")
+            if event == "grant" and isinstance(key, str):
+                open_grants[key] = record
+            elif event in ("release", "reclaim") and isinstance(key, str):
+                open_grants.pop(key, None)
         return [open_grants[k] for k in sorted(open_grants)]
-
-    def _append(self, record: dict) -> None:
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
 
     # ------------------------------------------------------------------
     # the lease lifecycle
@@ -265,7 +227,7 @@ class LeaseLog:
             deadline=now + lease_s,
         )
         self._active[key] = lease
-        self._append(
+        self.journal.append(
             {
                 "event": "grant",
                 "key": key,
@@ -301,7 +263,7 @@ class LeaseLog:
         lease = self._active.pop(key, None)
         if lease is None:
             return False
-        self._append(
+        self.journal.append(
             {
                 "event": "release",
                 "key": key,
@@ -318,7 +280,7 @@ class LeaseLog:
         lease = self._active.pop(key, None)
         if lease is None:
             return None
-        self._append(
+        self.journal.append(
             {
                 "event": "reclaim",
                 "key": key,
@@ -361,21 +323,11 @@ class LeaseLog:
     # the exactly-once proof
 
     def history(self) -> list[dict]:
-        """Every durable lease event, in order (parsed from disk)."""
-        events = []
-        try:
-            with open(self.path) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        events.append(json.loads(line))
-                    except ValueError:
-                        continue
-        except FileNotFoundError:
-            pass
-        return events
+        """Every durable lease event, in order (read back from disk)."""
+        return [
+            record for record in self.journal.read()
+            if record.get("event") in LEASE_EVENTS
+        ]
 
     def completions(self) -> dict[str, int]:
         """``key -> count of release/done events`` over the whole log.
@@ -383,22 +335,7 @@ class LeaseLog:
         For a correctly recovered deployment every executed job maps to
         exactly ``1`` — the chaos harness's exactly-once assertion.
         """
-        counts: dict[str, int] = {}
-        for record in self.history():
-            if (
-                record.get("event") == "release"
-                and record.get("outcome") == "done"
-            ):
-                key = record.get("key")
-                if isinstance(key, str):
-                    counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    def __enter__(self) -> "LeaseLog":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        return lease_completions(self.journal.read())
 
 
 class Supervisor:
@@ -506,6 +443,21 @@ class Supervisor:
             self._thread = None
 
 
+def lease_completions(records: Iterable[dict]) -> dict[str, int]:
+    """``key -> count of release/done events`` among ``records``.
+
+    :meth:`LeaseLog.completions` over a log this process does not own
+    (``lease_completions(read_records(path))``).
+    """
+    counts: dict[str, int] = {}
+    for record in records:
+        if record.get("event") == "release" and record.get("outcome") == "done":
+            key = record.get("key")
+            if isinstance(key, str):
+                counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def kill_worker_processes() -> int:
     """SIGKILL every live child worker process; returns the body count.
 
@@ -528,11 +480,12 @@ def kill_worker_processes() -> int:
 
 __all__ = [
     "DEFAULT_LEASE_S",
-    "LEASE_SCHEMA",
+    "LEASE_EVENTS",
     "Lease",
     "LeaseLog",
     "RELEASE_OUTCOMES",
     "Supervisor",
     "SupervisionStats",
     "kill_worker_processes",
+    "lease_completions",
 ]

@@ -32,8 +32,10 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.common.journal import read_records
 from repro.experiments.config import SystemConfig
 from repro.faults import FAULT_PLAN_ENV, FaultPlan, FaultSpec
+from repro.service.supervision import lease_completions
 
 pytestmark = pytest.mark.chaos
 
@@ -125,19 +127,6 @@ def _stop_hard(proc: subprocess.Popen) -> str:
     proc.kill()
     out, _ = proc.communicate(timeout=30)
     return out
-
-
-def _events(path: Path) -> list[dict]:
-    events = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            events.append(json.loads(line))
-        except ValueError:
-            continue
-    return events
 
 
 @pytest.fixture(scope="module")
@@ -287,8 +276,7 @@ def chaos_run(tmp_path_factory, config, reference):
         key: ResultStore(store).path_for_key(key).read_bytes()
         for key in ResultStore(store).keys()
     }
-    observed["lease_events"] = _events(store / "service" / "leases.jsonl")
-    observed["queue_events"] = _events(store / "service" / "queue.jsonl")
+    observed["events"] = read_records(store / "service" / "log.jsonl")
     return observed
 
 
@@ -314,17 +302,14 @@ class TestByteIdentity:
 class TestExactlyOnce:
     def test_every_job_completed_exactly_once(self, chaos_run):
         """The lease log's release/done count is 1 for every key."""
-        completions: dict[str, int] = {}
-        for event in chaos_run["lease_events"]:
-            if event.get("event") == "release" and event.get("outcome") == "done":
-                completions[event["key"]] = completions.get(event["key"], 0) + 1
+        completions = lease_completions(chaos_run["events"])
         assert completions == {key: 1 for key in chaos_run["keys"]}
 
     def test_crash_reclaims_are_durable(self, chaos_run):
         """The scheduler crash left reclaim records, not silent loss."""
         reasons = {
             event.get("reason")
-            for event in chaos_run["lease_events"]
+            for event in chaos_run["events"]
             if event.get("event") == "reclaim"
         }
         assert reasons & {"scheduler-crashed", "orphaned"}
@@ -332,7 +317,7 @@ class TestExactlyOnce:
     def test_interrupted_jobs_were_regranted(self, chaos_run):
         """Work in flight at the crash shows grant → reclaim → grant → done."""
         grants: dict[str, int] = {}
-        for event in chaos_run["lease_events"]:
+        for event in chaos_run["events"]:
             if event.get("event") == "grant":
                 grants[event["key"]] = grants.get(event["key"], 0) + 1
         assert any(count >= 2 for count in grants.values())
@@ -364,7 +349,7 @@ class TestRecoveryBookkeeping:
 
     def test_gen2_shutdown_record_is_clean(self, chaos_run):
         shutdowns = [
-            event for event in chaos_run["queue_events"]
+            event for event in chaos_run["events"]
             if event.get("event") == "shutdown"
         ]
         assert shutdowns, "graceful stop wrote no shutdown record"

@@ -221,7 +221,7 @@ class TestResilienceFlags:
         assert "[journal: " in out
         lines = (tmp_path / "journal.jsonl").read_text().splitlines()
         events = [json.loads(line)["event"] for line in lines]
-        assert events[0] == "batch-start"
+        assert events[0] == "log-start"
         assert "complete" in events
         assert events[-1] == "batch-end"
 

@@ -1,10 +1,12 @@
 """End-to-end HTTP tests: exactly-once over the wire, bit-identity,
 warm-path behaviour, and the transparent ServiceRunner."""
 
-import json
+import http.client
 import pickle
 import threading
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -36,9 +38,8 @@ def service(tmp_path):
 
 
 def _journal_completes(scheduler, rid):
-    lines = scheduler.journal.path.read_text().splitlines()
     return [
-        r for r in map(json.loads, filter(None, map(str.strip, lines)))
+        r for r in scheduler.journal.read()
         if r.get("event") == "complete" and r.get("job") == rid
     ]
 
@@ -109,6 +110,26 @@ class TestBitIdentity:
             data = resp.read()
             header = resp.headers["X-Payload-SHA256"]
         assert header == payload_digest(data)
+
+    def test_keep_alive_reads_do_not_stall(self, service, tiny_config):
+        """Regression: headers and body went out as two writes, so on a
+        kept-alive connection Nagle held the body back until the
+        client's delayed ACK (~40 ms per read)."""
+        client, scheduler = service
+        client.run(tiny_config, ["gzip"], timeout=120)
+        key = scheduler.store.key_for(tiny_config, ("gzip",))
+        host, port = urllib.parse.urlsplit(client.url).netloc.rsplit(":", 1)
+        conn = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            start = time.perf_counter()
+            for _ in range(10):
+                conn.request("GET", f"/results/{key}/payload")
+                resp = conn.getresponse()
+                assert resp.status == 200 and resp.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.2, f"10 keep-alive reads took {elapsed:.3f}s"
 
 
 class TestHTTPSurface:

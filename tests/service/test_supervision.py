@@ -2,11 +2,11 @@
 scheduler's recovery paths (expiry -> requeue, crash -> read-only,
 orphan reclamation on resume, clean shutdown records)."""
 
-import json
 import threading
 
 import pytest
 
+from repro.common.journal import Journal, read_records
 from repro.experiments.resilience import RetryPolicy
 from repro.experiments.runner import run_mix
 from repro.faults import FaultPlan, FaultSpec
@@ -20,17 +20,12 @@ from repro.service.supervision import (
 
 
 def _queue_events(store_dir):
-    path = store_dir / "service" / "queue.jsonl"
-    return [
-        json.loads(line)
-        for line in path.read_text().splitlines()
-        if line.strip()
-    ]
+    return read_records(store_dir / "service" / "log.jsonl")
 
 
 class TestLeaseLog:
     def test_grant_release_roundtrip(self, tmp_path):
-        log = LeaseLog(tmp_path / "leases.jsonl")
+        log = LeaseLog(Journal(tmp_path / "log.jsonl"))
         lease = log.grant("k1", "run-1", "batch-1", attempt=0, now=100.0)
         assert log.held("k1")
         assert not lease.expired(100.0 + lease.lease_s - 1)
@@ -40,13 +35,13 @@ class TestLeaseLog:
         assert log.completions() == {"k1": 1}
 
     def test_release_validates_outcome(self, tmp_path):
-        log = LeaseLog(tmp_path / "leases.jsonl")
+        log = LeaseLog(Journal(tmp_path / "log.jsonl"))
         log.grant("k1", "run-1", "b", attempt=0)
         with pytest.raises(ValueError, match="outcome"):
             log.release("k1", "exploded")
 
     def test_renewal_pushes_deadline(self, tmp_path):
-        log = LeaseLog(tmp_path / "leases.jsonl")
+        log = LeaseLog(Journal(tmp_path / "log.jsonl"))
         log.grant("k1", "r", "b", attempt=0, lease_s=10.0, now=0.0)
         assert log.expired(now=10.0) != []
         assert log.renew("k1", now=10.0)
@@ -55,7 +50,7 @@ class TestLeaseLog:
         assert not log.renew("missing")
 
     def test_reclaim_writes_reason(self, tmp_path):
-        log = LeaseLog(tmp_path / "leases.jsonl")
+        log = LeaseLog(Journal(tmp_path / "log.jsonl"))
         log.grant("k1", "r", "b", attempt=2)
         taken = log.reclaim("k1", "lease-expired")
         assert taken is not None and taken.attempt == 2
@@ -67,14 +62,14 @@ class TestLeaseLog:
         assert log.completions() == {}
 
     def test_orphaned_grants_reclaimed_on_resume(self, tmp_path):
-        path = tmp_path / "leases.jsonl"
-        first = LeaseLog(path)
+        path = tmp_path / "log.jsonl"
+        first = LeaseLog(Journal(path))
         first.grant("done-key", "r1", "b", attempt=0)
         first.release("done-key", "done")
         first.grant("orphan-key", "r2", "b", attempt=0)
         # kill -9: no release, no close.
         stats = SupervisionStats()
-        resumed = LeaseLog(path, resume=True, stats=stats)
+        resumed = LeaseLog(Journal(path, resume=True), stats=stats)
         assert stats.orphans_recovered == 1
         assert not resumed.held("orphan-key")
         reclaims = [
@@ -90,15 +85,14 @@ class TestLeaseLog:
         is proof of completion, so the orphan gets the swallowed
         release/done record instead of an ``orphaned`` reclaim — the
         exactly-once proof must count the job that did run."""
-        path = tmp_path / "leases.jsonl"
-        first = LeaseLog(path)
+        path = tmp_path / "log.jsonl"
+        first = LeaseLog(Journal(path))
         first.grant("landed-key", "r1", "batch-1", attempt=1)
         first.grant("lost-key", "r2", "batch-1", attempt=0)
         # kill -9: no release, no close.
         stats = SupervisionStats()
         resumed = LeaseLog(
-            path,
-            resume=True,
+            Journal(path, resume=True),
             stats=stats,
             has_result=lambda key: key == "landed-key",
         )
@@ -123,7 +117,7 @@ class TestLeaseLog:
 
     def test_no_timestamps_persisted(self, tmp_path):
         """Determinism: lease records carry durations, never clocks."""
-        log = LeaseLog(tmp_path / "leases.jsonl")
+        log = LeaseLog(Journal(tmp_path / "log.jsonl"))
         log.grant("k1", "r", "b", attempt=0)
         log.renew("k1")
         log.release("k1", "done")
@@ -132,13 +126,13 @@ class TestLeaseLog:
                 assert field not in event
 
     def test_torn_final_line_tolerated(self, tmp_path):
-        path = tmp_path / "leases.jsonl"
-        log = LeaseLog(path)
+        path = tmp_path / "log.jsonl"
+        log = LeaseLog(Journal(path))
         log.grant("k1", "r", "b", attempt=0)
-        log.close()
+        log.journal.close()
         with open(path, "a") as handle:
             handle.write('{"event": "grant", "key": "torn')
-        resumed = LeaseLog(path, resume=True)
+        resumed = LeaseLog(Journal(path, resume=True))
         assert [e["key"] for e in resumed.history() if e["event"] == "reclaim"] == ["k1"]
 
 
@@ -157,7 +151,7 @@ class TestSupervisor:
         return sup, reclaimed, released
 
     def test_landing_releases_and_renews_siblings(self, tmp_path):
-        log = LeaseLog(tmp_path / "leases.jsonl")
+        log = LeaseLog(Journal(tmp_path / "log.jsonl"))
         log.grant("a", "r1", "b", attempt=0, lease_s=10.0, now=0.0)
         log.grant("b", "r2", "b", attempt=0, lease_s=10.0, now=0.0)
         sup, reclaimed, released = self._supervisor(log, landed={"a"})
@@ -169,7 +163,7 @@ class TestSupervisor:
         assert log.completions() == {"a": 1}
 
     def test_expired_lease_reclaimed(self, tmp_path):
-        log = LeaseLog(tmp_path / "leases.jsonl")
+        log = LeaseLog(Journal(tmp_path / "log.jsonl"))
         log.grant("a", "r1", "b", attempt=0, lease_s=10.0, now=0.0)
         sup, reclaimed, _ = self._supervisor(log)
         assert sup.tick(now=5.0) == []  # within budget
@@ -179,7 +173,7 @@ class TestSupervisor:
         assert not log.held("a")
 
     def test_crash_reclaims_everything(self, tmp_path):
-        log = LeaseLog(tmp_path / "leases.jsonl")
+        log = LeaseLog(Journal(tmp_path / "log.jsonl"))
         log.grant("a", "r1", "b", attempt=0, lease_s=1000.0, now=0.0)
         log.grant("b", "r2", "b", attempt=0, lease_s=1000.0, now=0.0)
         sup, reclaimed, _ = self._supervisor(log, crashed=lambda: True)
@@ -191,7 +185,7 @@ class TestSupervisor:
         assert reasons == {"scheduler-crashed"}
 
     def test_thread_lifecycle(self, tmp_path):
-        log = LeaseLog(tmp_path / "leases.jsonl")
+        log = LeaseLog(Journal(tmp_path / "log.jsonl"))
         sup, _, _ = self._supervisor(log)
         sup.poll_s = 0.01
         sup.start()
