@@ -23,7 +23,6 @@ threads rarely stall long enough to skip), so their ratio is close
 to 1 — see docs/performance.md for the full breakdown.
 """
 
-import dataclasses
 import json
 import os
 import time

@@ -5,7 +5,7 @@ shared single-thread baselines) three ways and reports wall clock and
 cache behaviour:
 
 1. serial ``Runner`` (the reference path),
-2. ``ParallelRunner(jobs=N)`` with a cold persistent cache,
+2. ``Runner(jobs=N)`` with a cold persistent cache,
 3. the same sweep again with the warm cache (zero simulations).
 
 On a multi-core machine (2) should approach ``serial / N`` for the
@@ -26,7 +26,7 @@ import pytest
 
 from repro.experiments.config import SystemConfig
 from repro.experiments.figures import figure2
-from repro.experiments.parallel import ParallelRunner, ResultCache
+from repro.experiments.parallel import ResultCache
 from repro.experiments.runner import Runner
 
 #: Small figure-scale budget: big enough that pool overhead is noise,
@@ -53,14 +53,14 @@ def run_bench(jobs: int = 4, instructions: int = 1200) -> dict:
         cold_cache = ResultCache(cache_dir)
         parallel = figure2(
             config=config,
-            runner=ParallelRunner(jobs=jobs, cache=cold_cache),
+            runner=Runner(jobs=jobs, cache=cold_cache),
             mixes=list(_MIXES),
         )
         t2 = time.perf_counter()
         warm_cache = ResultCache(cache_dir)
         warm = figure2(
             config=config,
-            runner=ParallelRunner(jobs=jobs, cache=warm_cache),
+            runner=Runner(jobs=jobs, cache=warm_cache),
             mixes=list(_MIXES),
         )
         t3 = time.perf_counter()

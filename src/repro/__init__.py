@@ -30,7 +30,7 @@ schedulers), :mod:`repro.workloads` (synthetic SPEC2000 profiles),
 
 from repro.experiments.config import SystemConfig
 from repro.experiments.figures import EXPERIMENTS, run_experiment
-from repro.experiments.parallel import ParallelRunner, ResultCache
+from repro.experiments.parallel import ResultCache
 from repro.experiments.resilience import BatchJournal, RetryPolicy
 from repro.experiments.runner import MixResult, Runner, run_mix, run_single
 from repro.faults import FaultPlan, FaultSpec
@@ -54,7 +54,6 @@ __all__ = [
     "FaultSpec",
     "MetricRegistry",
     "MixResult",
-    "ParallelRunner",
     "ResultCache",
     "RetryPolicy",
     "RunManifest",

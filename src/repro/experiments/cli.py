@@ -29,7 +29,8 @@ from repro.engine import ENGINE_NAMES
 from repro.experiments.ablations import ABLATIONS
 from repro.experiments.config import SystemConfig
 from repro.experiments.figures import EXPERIMENTS, run_experiment
-from repro.experiments.parallel import ParallelRunner
+from repro.experiments.parallel import ResultCache
+from repro.experiments.resilience import BatchJournal, RetryPolicy
 from repro.experiments.runner import Runner, run_mix
 from repro.faults import plan_from_env
 from repro.telemetry import EventTracer, Telemetry
@@ -182,10 +183,9 @@ def _make_runner(args: argparse.Namespace) -> Runner:
             ServiceClient(url=remote, store_dir=remote_store)
         )
     jobs = getattr(args, "jobs", 1) or 1
+    if jobs < 1:
+        raise SystemExit("error: --jobs must be >= 1")
     cache_dir = getattr(args, "cache_dir", None)
-    sanitize = getattr(args, "sanitize", False)
-    timeout = getattr(args, "timeout", None)
-    retries = getattr(args, "retries", 0) or 0
     resume = getattr(args, "resume", False)
     journal = getattr(args, "journal", None)
     if resume and not cache_dir:
@@ -195,23 +195,17 @@ def _make_runner(args: argparse.Namespace) -> Runner:
         )
     if journal is None and resume:
         journal = str(Path(cache_dir) / "batch-journal.jsonl")
-    fault_plan = plan_from_env()
-    engine_options = (
-        jobs > 1 or cache_dir or timeout is not None or retries
-        or journal or fault_plan is not None
+    return Runner(
+        cache=ResultCache(cache_dir) if cache_dir else None,
+        jobs=jobs,
+        sanitize=getattr(args, "sanitize", False),
+        retry_policy=RetryPolicy(
+            retries=getattr(args, "retries", 0) or 0,
+            timeout_s=getattr(args, "timeout", None),
+        ),
+        journal=BatchJournal(journal, resume=resume) if journal else None,
+        fault_plan=plan_from_env(),
     )
-    if engine_options:
-        return ParallelRunner(
-            jobs=jobs,
-            cache_dir=cache_dir,
-            sanitize=sanitize,
-            timeout_s=timeout,
-            retries=retries,
-            journal=journal,
-            resume=resume,
-            fault_plan=fault_plan,
-        )
-    return Runner(sanitize=sanitize)
 
 
 def _config_from_args(args: argparse.Namespace) -> SystemConfig:

@@ -98,9 +98,9 @@ def _ws_jobs(runner: Runner, config: SystemConfig, mix) -> list[tuple]:
 
 # Every driver below plans its complete job list up front and submits
 # it through ``runner.run_many`` before computing anything.  With the
-# default serial Runner this is a no-op rehearsal (results land in the
-# runner's cache and the original loops read them back for free); with
-# a ParallelRunner the whole figure fans out across worker processes.
+# default serial Runner the batch runs in-process (results land in the
+# runner's memo and the loops below read them back for free); with
+# ``Runner(jobs=N)`` the whole figure fans out across worker processes.
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,31 @@
-"""Parallel experiment engine with a persistent result cache.
+"""Batch execution with a persistent result cache.
 
 Every figure of the paper fans out dozens of *independent*
-``(config, apps)`` simulations.  This module turns that fan-out into
-an explicit job list and executes it three ways, fastest first:
+``(config, apps)`` simulations.  :func:`run_many` is the one path that
+fan-out takes -- :class:`~repro.experiments.runner.Runner` and the
+service scheduler both call it -- and it serves each job from the
+first layer that has it:
 
-1. **In-process memo** — a plain dict shared with the owning
-   :class:`~repro.experiments.runner.Runner`, so repeated requests
-   inside one driver (and across drivers sharing a runner) are free.
+1. **In-process memo** — a plain dict owned by the caller (a
+   runner's memo, the scheduler's), so repeated requests are free.
 2. **Persistent on-disk cache** — :class:`ResultCache` pickles each
-   :class:`~repro.experiments.runner.MixResult` under a key derived
-   from ``config.cache_key()``, the app tuple, and a schema version
-   stamp.  Reruns of a figure sweep (or a different driver needing the
-   same baselines) complete without simulating anything.
-3. **Process pool** — remaining cache misses are deduplicated and
-   fanned across a :class:`concurrent.futures.ProcessPoolExecutor`.
-   Results are collected *by submission index*, never by completion
-   order, so the output is deterministic and bit-identical to a serial
-   run (each simulation is already deterministic given its config).
-
-:class:`ParallelRunner` is a drop-in :class:`Runner` whose
-``run_many`` uses the pool; ``jobs=1`` (the default everywhere) keeps
-the exact serial behaviour, so existing workflows reproduce verbatim.
+   :class:`~repro.experiments.runner.MixResult` under
+   :func:`job_key`, a digest of ``config.cache_key()``, the app tuple
+   and a schema version stamp.  Reruns of a figure sweep (or a
+   different driver needing the same baselines) complete without
+   simulating anything.
+3. **Fresh simulation** — remaining misses are deduplicated and run by
+   :func:`~repro.experiments.resilience.execute_jobs`, serially or
+   across a process pool.  Results are collected *by submission
+   index*, never by completion order, so the output is deterministic
+   and bit-identical to a serial run (each simulation is already
+   deterministic given its config).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import logging
 import os
@@ -34,8 +34,9 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
+from repro.analysis.sanitizer import SimSanitizer
 from repro.experiments.config import SystemConfig
 from repro.experiments.resilience import (
     BatchJournal,
@@ -43,7 +44,7 @@ from repro.experiments.resilience import (
     RetryPolicy,
     execute_jobs,
 )
-from repro.experiments.runner import MixResult, Runner, run_mix
+from repro.experiments.runner import MixResult, run_mix
 from repro.faults import FaultPlan
 from repro.telemetry import Telemetry
 from repro.telemetry.manifest import run_id
@@ -59,6 +60,21 @@ STALE_TMP_SECONDS = 3600.0
 #: silently invalidates every previously written cache entry.
 #: v2: MixResult grew the ``metrics`` telemetry-snapshot field.
 CACHE_SCHEMA_VERSION = 2
+
+
+def job_key(
+    config: SystemConfig,
+    apps: Sequence[str],
+    version: int = CACHE_SCHEMA_VERSION,
+) -> str:
+    """The content-addressed key of one job: the SHA-256 hex digest of
+    ``(version, config.cache_key(), apps)``.
+
+    The one derivation behind cache file names, store keys and the
+    service client's idempotency keys.
+    """
+    raw = (version, config.cache_key(), tuple(apps))
+    return hashlib.sha256(repr(raw).encode()).hexdigest()
 
 
 def _interned_strings(dc):
@@ -90,29 +106,41 @@ def _worker_job(
     return config, tuple(sys.intern(a) for a in apps)
 
 
-def _simulate(config: SystemConfig, apps: tuple[str, ...]) -> MixResult:
-    """Worker entry point (module-level so it pickles across the pool)."""
-    return run_mix(*_worker_job(config, apps))
-
-
-def _simulate_with_metrics(
-    config: SystemConfig, apps: tuple[str, ...]
+def _simulate(
+    config: SystemConfig,
+    apps: tuple[str, ...],
+    metrics: bool = False,
+    sanitize: bool = False,
 ) -> MixResult:
-    """Worker entry point with a live metric registry per simulation.
+    """The one simulation entry point, in-process or in a pool worker.
 
-    The registry snapshot travels back to the parent on
-    ``MixResult.metrics`` (plain builtins, so it pickles), where the
-    owning runner merges snapshots in submission order.
+    Module-level so it pickles across the pool.  ``metrics`` gives the
+    run a live metric registry whose snapshot travels back on
+    ``MixResult.metrics`` (plain builtins, so it pickles).
+    ``sanitize`` checks the run under a
+    :class:`~repro.analysis.sanitizer.SimSanitizer` of its own and
+    raises :class:`~repro.analysis.sanitizer.SanitizerError` on any
+    violation; the checks are observe-only, so the result is
+    bit-identical to a plain run.
     """
     config, apps = _worker_job(config, apps)
-    return run_mix(config, apps, telemetry=Telemetry())
+    telemetry = Telemetry() if metrics else None
+    sanitizer = None
+    if sanitize:
+        sanitizer = SimSanitizer(
+            tracer=telemetry.tracer if telemetry is not None else None
+        )
+    result = run_mix(config, apps, telemetry=telemetry, sanitizer=sanitizer)
+    if sanitizer is not None:
+        sanitizer.raise_if_violations()
+    return result
 
 
 class ResultCache:
     """Persistent, versioned store of :class:`MixResult` objects.
 
     Entries are one pickle file per job under ``cache_dir``, named by
-    the SHA-256 of ``(version, config.cache_key(), apps)``.  Writes go
+    :func:`job_key`.  Writes go
     through a per-pid temp file that is fsynced before
     :func:`os.replace`, so neither concurrent workers nor a host crash
     can leave a torn or zero-length "valid" entry behind.
@@ -162,9 +190,7 @@ class ResultCache:
 
     def path_for(self, config: SystemConfig, apps: Sequence[str]) -> Path:
         """Cache file path for one job (exposed for inspection/tests)."""
-        key = (self.version, config.cache_key(), tuple(apps))
-        digest = hashlib.sha256(repr(key).encode()).hexdigest()
-        return self.cache_dir / f"{digest}.pkl"
+        return self.cache_dir / f"{job_key(config, apps, self.version)}.pkl"
 
     def _quarantine(self, path: Path, reason: str) -> None:
         self.corrupt += 1
@@ -300,21 +326,24 @@ def run_many(
     cache: ResultCache | None = None,
     memo: dict | None = None,
     collect_metrics: bool = False,
+    sanitize: bool = False,
     policy: RetryPolicy | None = None,
     journal: BatchJournal | None = None,
     stats: ResilienceStats | None = None,
     fault_plan: FaultPlan | None = None,
+    record: Callable[..., None] | None = None,
 ) -> list[MixResult]:
     """Run a list of ``(config, apps)`` jobs, in parallel where possible.
 
     Results are returned in job order.  Duplicate jobs (same config
     identity and apps) are simulated once; all layers — ``memo`` (an
     in-process dict keyed ``(config.cache_key(), apps)``), the
-    persistent ``cache``, and the pool — are consulted in that order.
-    ``parallelism=1`` runs everything serially in-process, which is
-    bit-identical to the pooled path and is the deterministic default.
-    ``collect_metrics`` gives each fresh simulation a live metric
-    registry whose snapshot rides back on ``MixResult.metrics``.
+    persistent ``cache``, and fresh simulation — are consulted in that
+    order.  ``parallelism=1`` runs everything serially in-process,
+    which is bit-identical to the pooled path and is the deterministic
+    default.  ``collect_metrics`` gives each fresh simulation a live
+    metric registry whose snapshot rides back on ``MixResult.metrics``;
+    ``sanitize`` runs each under its own invariant checker.
 
     Fresh simulations execute through the fault-tolerant executor
     (:func:`repro.experiments.resilience.execute_jobs`): ``policy``
@@ -326,12 +355,20 @@ def run_many(
     injects failures (chaos testing).  Each fresh result is memoized
     and written to the cache *as it completes* — before its journal
     line — so an interruption at any point loses at most in-flight
-    work.  Unrecoverable failures raise
-    :class:`~repro.common.errors.BatchAborted` (or its timeout/crash
-    refinements) carrying the failing job's identity.
+    work.  Any failed job raises a
+    :class:`~repro.common.errors.JobFailureError` subclass carrying the
+    failing job's identity, with the original exception as its
+    ``__cause__``.
+
+    ``record(config, apps, source, wall_s, result)``, when given, is
+    called once per job in job order after the batch: ``source`` is
+    ``"memo"``, ``"disk-cache"``, ``"simulated"`` (in-process) or
+    ``"pool"``, and ``wall_s`` is the job's own simulation time (0 for
+    a served result).
     """
     normalized = [(config, tuple(apps)) for config, apps in jobs]
     results: list[MixResult | None] = [None] * len(normalized)
+    served: list[tuple[str, float]] = [("memo", 0.0)] * len(normalized)
     indices_for: dict[tuple, list[int]] = {}
     todo: list[tuple[tuple, SystemConfig, tuple[str, ...]]] = []
     for i, (config, apps) in enumerate(normalized):
@@ -342,13 +379,17 @@ def run_many(
         cached = memo.get(key) if memo is not None else None
         if cached is None and cache is not None:
             cached = cache.get(config, apps)
-            if cached is not None and memo is not None:
-                memo[key] = cached
-            if cached is not None and journal is not None and stats is not None:
+            if cached is not None:
+                served[i] = ("disk-cache", 0.0)
+                if memo is not None:
+                    memo[key] = cached
                 # A journaled-complete job resumed from the cache: the
                 # whole point of --resume.  (A cache hit without a
                 # journal entry is ordinary cross-run reuse.)
-                if journal.completed(run_id(config, apps)):
+                if (
+                    journal is not None and stats is not None
+                    and journal.completed(run_id(config, apps))
+                ):
                     stats.resumed_jobs += 1
         if cached is not None:
             results[i] = cached
@@ -357,14 +398,23 @@ def run_many(
         todo.append((key, config, apps))
 
     if todo:
-        simulate = _simulate_with_metrics if collect_metrics else _simulate
+        simulate: Callable[..., MixResult] = _simulate
+        if collect_metrics or sanitize:
+            simulate = functools.partial(
+                _simulate, metrics=collect_metrics, sanitize=sanitize
+            )
 
-        def persist(todo_index: int, result: MixResult) -> None:
+        def persist(
+            todo_index: int, result: MixResult, source: str, wall_s: float
+        ) -> None:
             key, config, apps = todo[todo_index]
             if memo is not None:
                 memo[key] = result
             if cache is not None:
                 cache.put(config, apps, result)
+            served[indices_for[key][0]] = (
+                "pool" if source == "pool" else "simulated", wall_s
+            )
 
         fresh = execute_jobs(
             [(config, apps) for _, config, apps in todo],
@@ -379,134 +429,20 @@ def run_many(
         for (key, _, _), result in zip(todo, fresh):
             for i in indices_for[key]:
                 results[i] = result
+    if record is not None:
+        for (config, apps), result, (source, wall_s) in zip(
+            normalized, results, served
+        ):
+            record(config, apps, source, wall_s, result)
     return results  # fully populated; None only if a job list was empty
-
-
-class ParallelRunner(Runner):
-    """A :class:`Runner` that fans ``run_many`` across worker processes.
-
-    Parameters
-    ----------
-    jobs:
-        Worker-process count for :meth:`run_many` fan-outs.  ``1``
-        (default) keeps everything serial and in-process.
-    cache_dir:
-        Directory for the persistent :class:`ResultCache`.  ``None``
-        disables on-disk persistence (the in-process memo still
-        applies).
-    cache:
-        An existing :class:`ResultCache` to share between runners;
-        overrides ``cache_dir``.
-    timeout_s / retries / backoff_s / max_pool_rebuilds:
-        Fault-tolerance policy for batch execution (see
-        :class:`~repro.experiments.resilience.RetryPolicy`); alternatively
-        pass a full ``retry_policy``.
-    journal:
-        Path of a crash-safe batch journal (or an existing
-        :class:`~repro.experiments.resilience.BatchJournal`).  With
-        ``resume=True`` an existing journal is loaded and completed
-        jobs are served from the cache without re-simulating;
-        otherwise the journal is started fresh.
-    fault_plan:
-        A :class:`repro.faults.FaultPlan` injected into every batch
-        (chaos testing only).
-    """
-
-    def __init__(
-        self,
-        jobs: int = 1,
-        cache_dir: str | os.PathLike | None = None,
-        baseline_multiplier: int = 3,
-        cache: ResultCache | None = None,
-        collect_metrics: bool = False,
-        sanitize: bool = False,
-        timeout_s: float | None = None,
-        retries: int = 0,
-        backoff_s: float = 0.0,
-        max_pool_rebuilds: int = 2,
-        retry_policy: RetryPolicy | None = None,
-        journal: BatchJournal | str | os.PathLike | None = None,
-        resume: bool = False,
-        fault_plan: FaultPlan | None = None,
-    ) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if cache is None and cache_dir is not None:
-            cache = ResultCache(cache_dir)
-        if retry_policy is None:
-            retry_policy = RetryPolicy(
-                retries=retries,
-                timeout_s=timeout_s,
-                backoff_base_s=backoff_s,
-                max_pool_rebuilds=max_pool_rebuilds,
-            )
-        if journal is not None and not isinstance(journal, BatchJournal):
-            journal = BatchJournal(journal, resume=resume)
-        super().__init__(
-            baseline_multiplier=baseline_multiplier,
-            cache=cache,
-            collect_metrics=collect_metrics,
-            sanitize=sanitize,
-            retry_policy=retry_policy,
-            fault_plan=fault_plan,
-            journal=journal,
-        )
-        self.jobs = jobs
-
-    def run_many(self, jobs: Sequence) -> list[MixResult]:
-        if self.sanitize:
-            # Sanitized runs go through the serial path so each gets
-            # its own in-process sanitizer that raises on violations
-            # (workers started before a programmatic sanitize request
-            # would not inherit it).  Sanitized output is bit-identical
-            # to the pooled path, just slower.
-            return Runner.run_many(self, jobs)
-        normalized = [(config, tuple(apps)) for config, apps in jobs]
-        already = set(self._results)
-        start = time.perf_counter()
-        results = run_many(
-            normalized,
-            parallelism=self.jobs,
-            cache=self.cache,
-            memo=self._results,
-            collect_metrics=self.collect_metrics,
-            policy=self.retry_policy,
-            journal=self.journal,
-            stats=self.resilience,
-            fault_plan=self.fault_plan,
-        )
-        wall = time.perf_counter() - start
-        # Provenance, in submission order.  The batched path cannot
-        # distinguish a disk-cache hit from a pool simulation cheaply,
-        # so anything not already memoized is recorded as served by
-        # this batch; per-record wall time is the batch total split
-        # evenly (indicative, not a measurement).
-        new = [
-            (config, apps) for config, apps in normalized
-            if (config.cache_key(), apps) not in already
-        ]
-        per_run = wall / len(new) if new else 0.0
-        batch_source = "pool" if self.jobs > 1 else "simulated"
-        for config, apps in normalized:
-            key = (config.cache_key(), apps)
-            if key in already:
-                self._record(config, apps, "memo")
-            else:
-                self._record(config, apps, batch_source, per_run)
-        return results
-
-    def manifest(self):
-        m = super().manifest()
-        m.workers = self.jobs
-        return m
 
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "BatchJournal",
-    "ParallelRunner",
     "ResilienceStats",
     "ResultCache",
     "RetryPolicy",
+    "job_key",
     "run_many",
 ]

@@ -73,10 +73,9 @@ def repeat_mix(
 ) -> dict[str, MetricSummary]:
     """Run the mix once per seed; summarize each metric.
 
-    Per-seed runs are independent, so a
-    :class:`~repro.experiments.parallel.ParallelRunner` passed as
-    ``runner`` fans them out (and a cache-backed runner skips seeds it
-    has already simulated).
+    Per-seed runs are independent, so a runner with ``jobs > 1`` fans
+    them out (and a cache-backed runner skips seeds it has already
+    simulated).
     """
     if not seeds:
         raise ConfigError("at least one seed is required")

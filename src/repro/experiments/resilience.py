@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import logging
 import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -64,6 +65,11 @@ from repro.faults import FaultPlan, InjectedCrash
 from repro.telemetry.manifest import config_hash, run_id
 
 log = logging.getLogger("repro.experiments.resilience")
+
+#: How often a pool worker checks that the process owning its pool is
+#: still alive (see :func:`_exit_with_owner`).
+OWNER_POLL_S = 0.5
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -220,6 +226,26 @@ class BatchJournal:
 # worker entry point
 
 
+def _exit_with_owner() -> None:
+    """Pool-worker initializer: exit once the pool's owner is gone.
+
+    A worker blocks on its call queue, so a parent killed without
+    cleanup (``kill -9``, the ``sigkill`` fault) would leave it behind
+    as an idle orphan.  A daemon thread polls ``os.getppid()`` and exits
+    the worker once it no longer names the process the worker started
+    under: the process that built the pool (or, under the forkserver
+    start method, the fork server, which exits with it).
+    """
+    owner = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == owner:
+            time.sleep(OWNER_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="owner-watch", daemon=True).start()
+
+
 def _attempt_in_worker(
     simulate: Callable,
     plan: FaultPlan | None,
@@ -230,8 +256,8 @@ def _attempt_in_worker(
 ):
     """Pool-worker wrapper: fire any planned fault, then simulate.
 
-    Module-level so it pickles; ``simulate`` must itself be a
-    module-level callable (``repro.experiments.parallel._simulate``).
+    Module-level so it pickles; ``simulate`` must pickle too
+    (``repro.experiments.parallel._simulate`` or a partial of it).
     """
     if plan is not None:
         plan.maybe_fire(job_id, apps, attempt, in_worker=True)
@@ -264,15 +290,17 @@ def execute_jobs(
     journal: BatchJournal | None = None,
     stats: ResilienceStats | None = None,
     fault_plan: FaultPlan | None = None,
-    on_complete: Callable[[int, Any], None] | None = None,
+    on_complete: Callable[[int, Any, str, float], None] | None = None,
 ) -> list:
     """Run ``jobs`` (a deduplicated ``(config, apps)`` list) to completion.
 
-    Returns results in job order.  ``on_complete(index, result)`` fires
-    as soon as a job's result exists — *before* its journal line — so
-    callers persist results (memo + cache) ahead of the completion
-    record; a crash between the two re-simulates one job instead of
-    trusting a journal entry with no backing data.
+    Returns results in job order.  ``on_complete(index, result, source,
+    wall_s)`` fires as soon as a job's result exists — *before* its
+    journal line — so callers persist results (memo + cache) ahead of
+    the completion record; a crash between the two re-simulates one job
+    instead of trusting a journal entry with no backing data.
+    ``source`` is ``"serial"`` or ``"pool"`` and ``wall_s`` the
+    successful attempt's wall time.
 
     Raises :class:`~repro.common.errors.SimulationTimeout`,
     :class:`~repro.common.errors.WorkerCrashed`, or
@@ -295,7 +323,7 @@ def execute_jobs(
         results[state.index] = result
         pending.discard(state.index)
         if on_complete is not None:
-            on_complete(state.index, result)
+            on_complete(state.index, result, source, wall_s)
         if journal is not None:
             journal.record_complete(
                 state.job_id, state.attempts + 1, source, wall_s
@@ -420,7 +448,9 @@ def execute_jobs(
         """
         nonlocal rebuilds
         workers = min(parallelism, len(pending))
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=_exit_with_owner
+        )
         queue = deque(sorted(pending))
         inflight: dict = {}  # future -> (state, deadline, start)
         broken = False

@@ -1,18 +1,20 @@
 """Build-and-run plumbing for experiments.
 
-A :class:`Runner` turns a :class:`~repro.experiments.config.SystemConfig`
+:func:`run_mix` turns a :class:`~repro.experiments.config.SystemConfig`
 plus a list of application names into a complete simulated system
 (workload streams -> SMT core -> cache hierarchy -> DRAM), runs it,
-and returns a :class:`MixResult`.  Single-thread baseline runs (needed
-by the weighted-speedup metric) are cached per configuration, since
-every figure reuses them across many multiprogrammed runs.
+and returns a :class:`MixResult`.  A :class:`Runner` is the caching
+front-end figure drivers use: every job it serves goes through
+:func:`repro.experiments.parallel.run_many`, and single-thread
+baseline runs (needed by the weighted-speedup metric) are memoized per
+configuration, since every figure reuses them across many
+multiprogrammed runs.
 """
 
 from __future__ import annotations
 
 import copy
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -28,11 +30,7 @@ from repro.dram.stats import DRAMStats
 from repro.dram.system import MemorySystem
 from repro.engine import core_class
 from repro.experiments.config import SystemConfig
-from repro.experiments.resilience import (
-    ResilienceStats,
-    RetryPolicy,
-    execute_jobs,
-)
+from repro.experiments.resilience import ResilienceStats
 from repro.os.vm import VirtualMemory
 from repro.metrics.speedup import weighted_speedup
 from repro.telemetry import MetricRegistry, Telemetry
@@ -259,73 +257,67 @@ def run_single(config: SystemConfig, app: str) -> MixResult:
 class Runner:
     """Caching front-end for experiment drivers.
 
-    Every run — multiprogrammed or single-thread baseline — is memoized
-    in-process, keyed by ``(config.cache_key(), apps)``; all runs are
-    deterministic given that identity, so a cached result is
-    bit-identical to a fresh one.  An optional persistent
-    :class:`~repro.experiments.parallel.ResultCache` sits behind the
-    memo, so independently constructed runners (separate figure
-    drivers, repeat CLI invocations) share baselines and mix results
-    across processes.
+    Every job — multiprogrammed run or single-thread baseline — goes
+    through :func:`repro.experiments.parallel.run_many`: the in-process
+    memo (keyed by ``(config.cache_key(), apps)``), then the optional
+    persistent ``cache`` (a
+    :class:`~repro.experiments.parallel.ResultCache`, shared across
+    runners and processes), then deduplicated fresh simulations, on
+    ``jobs`` worker processes when ``jobs > 1``.  All runs are
+    deterministic given that identity, so a served result is
+    bit-identical to a fresh one, whatever the worker count.
 
     ``baseline_multiplier`` stretches the instruction budget of
     single-thread baseline runs: weighted speedup divides by the
     baseline IPC, so baseline sampling noise amplifies through every
     WS number; longer (cached, cheap) baselines damp it.
 
-    Fault tolerance: ``retry_policy`` (see
+    ``collect_metrics`` attaches a telemetry snapshot to each fresh
+    result; ``sanitize`` (or ``REPRO_SANITIZE=1``) checks each fresh
+    simulation's invariants.  Fault tolerance: ``retry_policy`` (see
     :class:`~repro.experiments.resilience.RetryPolicy`) retries
-    transient failures of fresh simulations; ``journal`` (a
+    transient failures; ``journal`` (a
     :class:`~repro.experiments.resilience.BatchJournal`) records every
     outcome crash-safely so an interrupted campaign resumes from
-    completed work; ``fault_plan`` injects deterministic chaos.  When
-    any of these are active, unrecoverable failures surface as
-    :class:`~repro.common.errors.BatchAborted` (or its timeout/crash
-    refinements) carrying the failing job's identity; with none of
-    them (the default) execution and error behaviour are exactly as
-    before.  ``runner.resilience`` accumulates retry/timeout/crash
-    counters either way and is folded into the manifest.
+    completed work; ``fault_plan`` injects deterministic chaos.
+
+    A job that fails raises a
+    :class:`~repro.common.errors.JobFailureError` subclass carrying the
+    job's identity, with the original exception as its ``__cause__``.
+    ``runner.resilience`` accumulates retry/timeout/crash counters and
+    is folded into the manifest.
     """
 
     def __init__(
         self,
         baseline_multiplier: int = 3,
         cache=None,
+        jobs: int = 1,
         collect_metrics: bool = False,
         sanitize: bool = False,
         retry_policy=None,
-        fault_plan=None,
         journal=None,
+        fault_plan=None,
     ) -> None:
         if baseline_multiplier < 1:
             raise ValueError("baseline_multiplier must be >= 1")
+        if jobs < 1:
+            raise ValueError("jobs must be >= 1")
         self.baseline_multiplier = baseline_multiplier
         #: Optional persistent ResultCache (see repro.experiments.parallel).
         self.cache = cache
-        #: When set, fresh simulations run with a live MetricRegistry
-        #: and their snapshots land on ``MixResult.metrics`` and in the
-        #: manifest.
+        #: Worker processes for fresh simulations (1 = in-process).
+        self.jobs = jobs
         self.collect_metrics = collect_metrics
-        #: When set (or REPRO_SANITIZE=1), every fresh simulation runs
-        #: under a :class:`~repro.analysis.sanitizer.SimSanitizer` and
-        #: raises SanitizerError if any invariant was violated.
         self.sanitize = sanitize or sanitize_requested()
         #: Fault-tolerance policy for fresh simulations (None = default).
         self.retry_policy = retry_policy
-        #: Deterministic fault injection (chaos testing only).
-        self.fault_plan = fault_plan
         #: Crash-safe batch journal (resume support).
         self.journal = journal
+        #: Deterministic fault injection (chaos testing only).
+        self.fault_plan = fault_plan
         #: Retry/timeout/crash counters + failure records for this runner.
         self.resilience = ResilienceStats()
-        # Route single runs through the resilient executor only when
-        # something beyond plain execution was requested, so default
-        # runners keep raising original exceptions unwrapped.
-        self._resilient = (
-            (retry_policy is not None and retry_policy != RetryPolicy())
-            or fault_plan is not None
-            or journal is not None
-        )
         self._results: dict[tuple, MixResult] = {}
         #: Provenance of every distinct run served, keyed by run id
         #: (first source wins -- a later memo hit does not demote a
@@ -345,62 +337,6 @@ class Runner:
                 config, apps, source=source, wall_time_s=wall_time_s,
                 sampling=sampling,
             )
-
-    def _simulate_once(self, config: SystemConfig, apps: tuple[str, ...]) -> MixResult:
-        """One fresh simulation with this runner's telemetry/sanitize setup."""
-        telemetry = Telemetry() if self.collect_metrics else None
-        if self.sanitize:
-            sanitizer = SimSanitizer(
-                tracer=telemetry.tracer if telemetry is not None else None
-            )
-            result = run_mix(
-                config, apps, telemetry=telemetry, sanitizer=sanitizer
-            )
-            sanitizer.raise_if_violations()
-            return result
-        return run_mix(config, apps, telemetry=telemetry)
-
-    def _cached_run(self, config: SystemConfig, apps: tuple[str, ...]) -> MixResult:
-        key = (config.cache_key(), apps)
-        result = self._results.get(key)
-        if result is not None:
-            self._record(config, apps, "memo", result=result)
-            return result
-        if self.cache is not None:
-            result = self.cache.get(config, apps)
-            if result is not None:
-                self._record(config, apps, "disk-cache", result=result)
-                if self.journal is not None and self.journal.completed(
-                    _run_id(config, apps)
-                ):
-                    self.resilience.resumed_jobs += 1
-        if result is None:
-            start = time.perf_counter()
-            if self._resilient:
-                result = execute_jobs(
-                    [(config, apps)],
-                    self._simulate_once,
-                    parallelism=1,
-                    policy=self.retry_policy,
-                    journal=self.journal,
-                    stats=self.resilience,
-                    fault_plan=self.fault_plan,
-                    on_complete=lambda _i, res: (
-                        self.cache.put(config, apps, res)
-                        if self.cache is not None
-                        else None
-                    ),
-                )[0]
-            else:
-                result = self._simulate_once(config, apps)
-                if self.cache is not None:
-                    self.cache.put(config, apps, result)
-            self._record(
-                config, apps, "simulated", time.perf_counter() - start,
-                result=result,
-            )
-        self._results[key] = result
-        return result
 
     # ------------------------------------------------------------------
     # provenance
@@ -426,6 +362,7 @@ class Runner:
         ]
         return RunManifest(
             records=self.records,
+            workers=self.jobs,
             metrics=MetricRegistry.merge(snapshots) if snapshots else {},
             wall_time_s=sum(r.wall_time_s for r in self._records.values()),
             extra=extra,
@@ -438,21 +375,31 @@ class Runner:
 
     def run_mix(self, config: SystemConfig, mix: WorkloadMix | Sequence[str]) -> MixResult:
         apps = mix.apps if isinstance(mix, WorkloadMix) else tuple(mix)
-        return self._cached_run(config, apps)
+        return self.run_many([(config, apps)])[0]
 
     def run_many(self, jobs: Sequence) -> list[MixResult]:
         """Run a list of ``(config, apps)`` jobs, returning results in order.
 
-        The serial reference implementation; every job goes through the
-        shared cache, so duplicates cost nothing.
-        :class:`~repro.experiments.parallel.ParallelRunner` overrides
-        this with a process-pool fan-out — figure drivers submit their
-        whole job list here before reading individual results, so one
-        runner swap parallelizes every experiment path.
+        Figure drivers submit their whole job list here before reading
+        individual results, so ``jobs > 1`` fans every experiment path
+        across the pool.
         """
-        return [
-            self._cached_run(config, tuple(apps)) for config, apps in jobs
-        ]
+        # parallel imports this module for run_mix and MixResult.
+        from repro.experiments.parallel import run_many
+
+        return run_many(
+            jobs,
+            parallelism=self.jobs,
+            cache=self.cache,
+            memo=self._results,
+            collect_metrics=self.collect_metrics,
+            sanitize=self.sanitize,
+            policy=self.retry_policy,
+            journal=self.journal,
+            stats=self.resilience,
+            fault_plan=self.fault_plan,
+            record=self._record,
+        )
 
     def baseline_config(self, config: SystemConfig) -> SystemConfig:
         """The (budget-stretched) config a single-thread baseline runs on."""
@@ -468,7 +415,7 @@ class Runner:
         return (self.baseline_config(config), (app,))
 
     def single(self, config: SystemConfig, app: str) -> MixResult:
-        return self._cached_run(self.baseline_config(config), (app,))
+        return self.run_many([self.baseline_job(config, app)])[0]
 
     def single_ipc(self, config: SystemConfig, app: str) -> float:
         return self.single(config, app).core.threads[0].ipc

@@ -24,12 +24,19 @@ import json
 import signal
 import sys
 import types
+from pathlib import Path
 
 from repro.experiments.config import SystemConfig
 from repro.experiments.resilience import RetryPolicy
 from repro.faults import FAULT_PLAN_ENV, plan_from_env
 from repro.service.api import AdmissionPolicy, DEFAULT_LRU_ENTRIES, make_server
-from repro.service.client import ServiceClient, ServiceError, write_server_info
+from repro.service.client import (
+    SERVER_INFO,
+    ServiceClient,
+    ServiceError,
+    discover_url,
+    write_server_info,
+)
 from repro.service.scheduler import CampaignScheduler
 from repro.service.store import ResultStore
 from repro.service.supervision import DEFAULT_LEASE_S
@@ -224,6 +231,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("[shutting down]", flush=True)
     finally:
         server.server_close()
+        _withdraw_server_info(args.store, server.url)
         scheduler.stop()
         print(
             "[supervision] " + json.dumps(
@@ -232,6 +240,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
     return 0
+
+
+def _withdraw_server_info(store_dir: str, url: str) -> None:
+    """Remove the advertised ``server.json`` of a stopped server.
+
+    Only while it still names ``url``: a newer daemon may have taken
+    the store over and advertised itself there since.
+    """
+    try:
+        if discover_url(store_dir) == url:
+            (Path(store_dir).expanduser() / SERVER_INFO).unlink()
+    except (ServiceError, FileNotFoundError):
+        pass
 
 
 def _submit_config(args: argparse.Namespace) -> SystemConfig:

@@ -468,18 +468,6 @@ class ServiceRunner(Runner):
         self.timeout = timeout
         self.poll_s = poll_s
 
-    def _cached_run(self, config: SystemConfig, apps: tuple[str, ...]) -> MixResult:
-        key = (config.cache_key(), apps)
-        result = self._results.get(key)
-        if result is not None:
-            self._record(config, apps, "memo")
-            return result
-        start = time.perf_counter()
-        result = self.client.run(config, apps, timeout=self.timeout)
-        self._results[key] = result
-        self._record(config, apps, "service", time.perf_counter() - start)
-        return result
-
     def run_many(self, jobs: Sequence) -> list[MixResult]:
         """Submit the whole batch up front, then wait and fetch.
 

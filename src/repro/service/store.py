@@ -4,8 +4,8 @@
 :class:`~repro.experiments.parallel.ResultCache` from a private runner
 cache into the artifact store that schedulers and API workers share:
 
-* **Content-addressed keys** — an entry's name is the SHA-256 of
-  ``(schema version, config.cache_key(), apps)``; the same digest the
+* **Content-addressed keys** — an entry's name is
+  :func:`~repro.experiments.parallel.job_key`, the same digest the
   cache has always used, so a store opened over an existing
   ``--cache-dir`` serves every previously cached result.
 * **Integrity index** — ``index.json`` records each entry's payload
@@ -46,6 +46,7 @@ from repro.experiments.parallel import (
     CACHE_SCHEMA_VERSION,
     STALE_TMP_SECONDS,
     ResultCache,
+    job_key,
 )
 from repro.experiments.runner import MixResult
 
@@ -56,22 +57,6 @@ INDEX_SCHEMA = 1
 def payload_digest(data: bytes) -> str:
     """Integrity digest of one stored payload."""
     return hashlib.sha256(data).hexdigest()
-
-
-def job_key(
-    config: SystemConfig,
-    apps: Sequence[str],
-    version: int = CACHE_SCHEMA_VERSION,
-) -> str:
-    """The content-addressed key of one job, without a store instance.
-
-    Exactly :meth:`ResultStore.key_for` (the digest the cache has
-    always used); exposed at module level so the typed client can
-    derive idempotency keys for submits before any store exists on its
-    side of the wire.
-    """
-    raw = (version, config.cache_key(), tuple(apps))
-    return hashlib.sha256(repr(raw).encode()).hexdigest()
 
 
 @dataclass
@@ -158,7 +143,7 @@ class ResultStore(ResultCache):
 
     def key_for(self, config: SystemConfig, apps: Sequence[str]) -> str:
         """The content-addressed key (hex digest) of one job."""
-        return self.path_for(config, apps).stem
+        return job_key(config, apps, self.version)
 
     def path_for_key(self, key: str) -> Path:
         if not key or any(c not in "0123456789abcdef" for c in key):

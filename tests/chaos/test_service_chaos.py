@@ -271,6 +271,9 @@ def chaos_run(tmp_path_factory, config, reference):
     else:
         proc.send_signal(signal.SIGTERM)
         observed["gen2_output"], _ = proc.communicate(timeout=120)
+        observed["gen2_left_server_info"] = (
+            store / "service" / "server.json"
+        ).exists()
 
     observed["store_bytes"] = {
         key: ResultStore(store).path_for_key(key).read_bytes()
@@ -357,6 +360,10 @@ class TestRecoveryBookkeeping:
         assert final["clean"] is True
         assert set(final["done"]) == set(chaos_run["keys"])
         assert not final.get("failed")
+
+    def test_gen2_clean_stop_withdraws_server_info(self, chaos_run):
+        """A SIGTERM stop must not leave clients a dead URL to discover."""
+        assert not chaos_run["gen2_left_server_info"]
 
     def test_gen2_reports_supervision_counters(self, chaos_run):
         lines = [

@@ -210,6 +210,11 @@ class TestResilienceFlags:
             main(["fig10", *self.QUICK, "--mixes", "2-MEM", "--resume"])
         assert "--cache-dir" in str(excinfo.value)
 
+    def test_negative_jobs_rejected(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig10", *self.QUICK, "--mixes", "2-MEM", "--jobs", "-1"])
+        assert "--jobs" in str(excinfo.value)
+
     def test_journal_written_and_reported(self, capsys, tmp_path):
         code = main([
             "fig10", *self.QUICK, "--mixes", "2-MEM",

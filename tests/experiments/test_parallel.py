@@ -5,11 +5,9 @@ import pickle
 import pytest
 
 import repro.experiments.parallel as parallel
-import repro.experiments.runner as runner_mod
 from repro.experiments.figures import figure4
 from repro.experiments.parallel import (
     CACHE_SCHEMA_VERSION,
-    ParallelRunner,
     ResultCache,
     run_many,
 )
@@ -257,7 +255,7 @@ class TestParallelDeterminism:
         mixes = ["2-MEM"]
         serial = figure4(config=tiny_config, runner=Runner(), mixes=mixes)
         pooled = figure4(
-            config=tiny_config, runner=ParallelRunner(jobs=2), mixes=mixes
+            config=tiny_config, runner=Runner(jobs=2), mixes=mixes
         )
         assert serial.rows == pooled.rows
 
@@ -305,7 +303,7 @@ class TestPersistentReuse:
         baseline = first.single(tiny_config, "gzip")
 
         monkeypatch.setattr(
-            runner_mod,
+            parallel,
             "run_mix",
             lambda config, apps: (_ for _ in ()).throw(
                 AssertionError("baseline should come from the cache")
@@ -321,7 +319,7 @@ class TestPersistentReuse:
         runner = Runner()
         first = runner.run_mix(tiny_config, ["gzip", "mcf"])
         monkeypatch.setattr(
-            runner_mod,
+            parallel,
             "run_mix",
             lambda config, apps: (_ for _ in ()).throw(
                 AssertionError("second identical run must hit the memo")
@@ -330,18 +328,18 @@ class TestPersistentReuse:
         assert runner.run_mix(tiny_config, ["gzip", "mcf"]) is first
 
 
-class TestParallelRunnerApi:
+class TestRunnerApi:
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
-            ParallelRunner(jobs=0)
+            Runner(jobs=0)
 
     def test_cache_dir_creates_cache(self, tmp_path):
-        runner = ParallelRunner(cache_dir=tmp_path / "cache")
+        runner = Runner(cache=ResultCache(tmp_path / "cache"))
         assert isinstance(runner.cache, ResultCache)
         assert (tmp_path / "cache").is_dir()
 
     def test_default_has_no_persistent_cache(self):
-        assert ParallelRunner().cache is None
+        assert Runner().cache is None
 
     def test_baseline_job_matches_single(self, tiny_config):
         runner = Runner()

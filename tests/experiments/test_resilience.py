@@ -12,8 +12,13 @@ import pytest
 
 import repro.experiments.parallel as parallel
 import repro.experiments.resilience as resilience
-from repro.common.errors import BatchAborted, JobFailure, WorkerCrashed
-from repro.experiments.parallel import ParallelRunner, ResultCache, run_many
+from repro.common.errors import (
+    BatchAborted,
+    JobFailure,
+    JobFailureError,
+    WorkerCrashed,
+)
+from repro.experiments.parallel import ResultCache, run_many
 from repro.experiments.resilience import (
     BatchJournal,
     ResilienceStats,
@@ -326,23 +331,25 @@ class TestRunnerWiring:
         with pytest.raises(WorkerCrashed):
             runner.run_mix(tiny_config, ["gzip"])
 
-    def test_default_runner_raises_unwrapped(self, tiny_config, monkeypatch):
-        """Without any resilience options, a default Runner keeps its
-        historical contract: the original exception, unwrapped."""
-        import repro.experiments.runner as runner_mod
-
+    def test_default_runner_chains_original_exception(
+        self, tiny_config, monkeypatch
+    ):
+        """A default Runner has the one failure contract of every batch:
+        a JobFailureError subclass, the original exception its cause."""
         monkeypatch.setattr(
-            runner_mod, "run_mix",
+            parallel, "run_mix",
             lambda *a, **k: (_ for _ in ()).throw(ValueError("raw")),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(JobFailureError) as info:
             Runner().run_mix(tiny_config, ["gzip"])
+        assert isinstance(info.value.__cause__, ValueError)
+        assert info.value.apps == ("gzip",)
 
     def test_manifest_records_resilience(self, tiny_config):
         plan = FaultPlan(
             specs=(FaultSpec(kind="exception", apps=("gzip",), attempt=0),)
         )
-        runner = ParallelRunner(retries=1, fault_plan=plan)
+        runner = Runner(retry_policy=RetryPolicy(retries=1), fault_plan=plan)
         runner.run_many([(tiny_config, ("gzip",))])
         manifest = runner.manifest()
         block = manifest.extra["resilience"]
@@ -351,14 +358,14 @@ class TestRunnerWiring:
         assert block["failures"][0]["apps"] == ["gzip"]
 
     def test_clean_manifest_has_no_resilience_block(self, tiny_config):
-        runner = ParallelRunner()
+        runner = Runner()
         runner.run_many([(tiny_config, ("gzip",))])
         assert "resilience" not in runner.manifest().extra
 
     def test_parallel_runner_journal_path_accepted(self, tiny_config, tmp_path):
-        runner = ParallelRunner(
-            cache_dir=tmp_path / "cache",
-            journal=tmp_path / "journal.jsonl",
+        runner = Runner(
+            cache=ResultCache(tmp_path / "cache"),
+            journal=BatchJournal(tmp_path / "journal.jsonl"),
         )
         runner.run_many([(tiny_config, ("gzip",))])
         runner.journal.close()

@@ -5,7 +5,6 @@ import threading
 
 import pytest
 
-from repro.experiments.resilience import RetryPolicy
 from repro.experiments.runner import run_mix
 from repro.service.api import (
     AdmissionPolicy,

@@ -8,7 +8,6 @@ import pytest
 
 from repro.common.journal import Journal, read_records
 from repro.experiments.resilience import RetryPolicy
-from repro.experiments.runner import run_mix
 from repro.faults import FaultPlan, FaultSpec
 from repro.service.scheduler import CampaignScheduler
 from repro.service.store import ResultStore
